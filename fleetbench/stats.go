@@ -1,0 +1,32 @@
+package main
+
+import (
+	"math"
+	"sort"
+)
+
+// quantile returns the q-quantile of xs by linear interpolation between
+// order statistics; NaN for no samples.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(pos)
+	if lo+1 >= len(s) {
+		return s[lo]
+	}
+	return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+}
+
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+// safeDiv is a/b, or 0 when there is nothing to divide by.
+func safeDiv(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
+}
