@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"github.com/elan-sys/elan/internal/checkpoint"
+	"github.com/elan-sys/elan/internal/scaling"
 )
 
 // Fleet delta checkpointing (DESIGN §13): SaveCheckpoint exports the lead
@@ -19,12 +20,14 @@ import (
 // rather than the model.
 
 // fleetCkptHeader is the runtime (non-tensor) state riding in the
-// manifest header.
+// manifest header: iteration, batch size, loader cursor and the whole LR
+// schedule, so a ramp in progress survives a restore.
 type fleetCkptHeader struct {
-	Iter   int
-	TBS    int
-	LR     float64
-	Cursor int
+	Iter     int
+	TBS      int
+	LR0, LRT float64
+	T0, T    int
+	Cursor   int
 }
 
 // ErrNoCheckpointStore is returned by checkpoint calls on a fleet built
@@ -32,8 +35,8 @@ type fleetCkptHeader struct {
 var ErrNoCheckpointStore = errors.New("worker: fleet has no checkpoint store")
 
 // SaveCheckpoint delta-saves the fleet's training state (lead replica's
-// parameters and optimizer state, iteration, batch size, learning rate,
-// loader cursor) into the configured checkpoint store.
+// parameters and optimizer state, iteration, batch size, learning-rate
+// schedule, loader cursor) into the configured checkpoint store.
 func (f *Fleet) SaveCheckpoint() (checkpoint.SaveStats, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -55,7 +58,10 @@ func (f *Fleet) SaveCheckpoint() (checkpoint.SaveStats, error) {
 		return checkpoint.SaveStats{}, fmt.Errorf("worker: checkpoint export: %w", r.err)
 	}
 	var buf bytes.Buffer
-	h := fleetCkptHeader{Iter: f.iter, TBS: f.cfg.TotalBatch, LR: f.currentLR(), Cursor: f.loader.Cursor()}
+	h := fleetCkptHeader{
+		Iter: f.iter, TBS: f.cfg.TotalBatch, Cursor: f.loader.Cursor(),
+		LR0: f.lrSched.LR0, LRT: f.lrSched.LRT, T0: f.lrSched.T0, T: f.lrSched.T,
+	}
 	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
 		return checkpoint.SaveStats{}, fmt.Errorf("worker: encode checkpoint header: %w", err)
 	}
@@ -77,7 +83,9 @@ func (f *Fleet) SaveCheckpoint() (checkpoint.SaveStats, error) {
 // agent and restores the runtime state. When the warm base (the state as
 // of the fleet's own last committed save) is available, only the chunks
 // committed after it are deserialized; a fleet that has never saved — or
-// whose model shape changed — falls back to replaying the full chain.
+// whose model shape changed — falls back to replaying the full chain. A
+// checkpoint that does not fit the fleet (state size, LR schedule, loader
+// cursor) is rejected before any agent or runtime state changes.
 func (f *Fleet) RestoreCheckpoint() (checkpoint.RestoreStats, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -112,6 +120,17 @@ func (f *Fleet) RestoreCheckpoint() (checkpoint.RestoreStats, error) {
 	if err := gob.NewDecoder(bytes.NewReader(hdrB)).Decode(&h); err != nil {
 		return checkpoint.RestoreStats{}, fmt.Errorf("worker: decode checkpoint header: %w", err)
 	}
+	sched, err := scaling.NewLRSchedule(h.LR0, h.LRT, h.T0, h.T)
+	if err != nil {
+		return checkpoint.RestoreStats{}, fmt.Errorf("worker: checkpoint LR schedule: %w", err)
+	}
+	if a := f.agents[0]; len(state) != a.net.NumParams()+a.opt.StateElements() {
+		return checkpoint.RestoreStats{}, fmt.Errorf("worker: checkpoint state of %d values, want %d",
+			len(state), a.net.NumParams()+a.opt.StateElements())
+	}
+	if err := f.loader.SetCursor(h.Cursor); err != nil {
+		return checkpoint.RestoreStats{}, fmt.Errorf("worker: restore cursor: %w", err)
+	}
 	for _, a := range f.agents {
 		if !a.alive() {
 			continue
@@ -121,11 +140,7 @@ func (f *Fleet) RestoreCheckpoint() (checkpoint.RestoreStats, error) {
 		}
 	}
 	f.iter = h.Iter
-	f.lr = h.LR
-	f.lrRampLen = 0
-	if err := f.loader.SetCursor(h.Cursor); err != nil {
-		return checkpoint.RestoreStats{}, fmt.Errorf("worker: restore cursor: %w", err)
-	}
+	f.lrSched = sched
 	// The batch size is restored only when the surviving worker count can
 	// shard it; otherwise the current (adjusted) batch stays in force.
 	if h.TBS > 0 && len(f.agents) > 0 && h.TBS%len(f.agents) == 0 {
