@@ -1,6 +1,6 @@
 // Command elan-live runs real elastic training on the pure-Go substrate
-// from the command line: it trains an MLP with data-parallel worker
-// goroutines and executes a schedule of elastic adjustments, printing
+// from the command line: it trains an MLP on a fleet of resident worker
+// agents and executes a schedule of elastic adjustments, printing
 // loss/accuracy and verifying the data-parallel invariant after every
 // adjustment.
 //
@@ -10,7 +10,9 @@
 //
 // Schedule entries are iteration:action with actions out<N> (scale out by
 // N), in<N> (scale in by N), batch<B> (set total batch to B with the
-// progressive LR ramp).
+// progressive LR ramp). A scale request goes through the AM and is
+// admitted by a later training step; the iterations until then count as
+// training.
 //
 // With -chaos the command instead replays a seeded randomized fault
 // schedule (worker crashes/restarts, AM crash + recovery, partitions, drop
@@ -120,8 +122,8 @@ func main() {
 	flag.Int64Var(&opts.chaosSeed, "chaos-seed", 1, "fault schedule seed (chaos mode)")
 	flag.IntVar(&opts.chaosFaults, "chaos-faults", 40, "approximate fault count (chaos mode)")
 	flag.Parse()
-	// Ctrl-C cancels the run context: an adjustment in flight unwinds
-	// cleanly instead of being killed halfway.
+	// Ctrl-C cancels the run context: the run stops at the next iteration
+	// boundary instead of being killed mid-step.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	runFn := run
@@ -239,7 +241,8 @@ func run(ctx context.Context, w io.Writer, opts options) error {
 	if err != nil {
 		return err
 	}
-	job, err := elan.NewLiveJob(elan.LiveConfig{
+	clk := elan.WallClock()
+	job, err := elan.NewFleet(elan.FleetConfig{
 		Dataset:    train,
 		LayerSizes: []int{features, 32, classes},
 		Workers:    opts.workers,
@@ -255,7 +258,6 @@ func run(ctx context.Context, w io.Writer, opts options) error {
 	}
 	defer job.Close()
 
-	next := 0
 	report := func(tag string) error {
 		loss, acc, err := job.Evaluate(test)
 		if err != nil {
@@ -266,56 +268,67 @@ func run(ctx context.Context, w io.Writer, opts options) error {
 			loss, 100*acc, job.ReplicasConsistent())
 		return nil
 	}
+	step := func() error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("interrupted at iteration %d: %w", job.Iteration(), err)
+		}
+		if _, err := job.Step(); err != nil {
+			return err
+		}
+		if job.Iteration()%200 == 0 {
+			return report("progress")
+		}
+		return nil
+	}
+	// scale requests an adjustment and trains until a step admits it.
+	scale := func(request func(int) error, n, want int) error {
+		if err := request(n); err != nil {
+			return err
+		}
+		for job.NumWorkers() != want {
+			if err := step(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	apply := func(a action) error {
+		n := job.NumWorkers()
+		switch a.verb {
+		case "out":
+			return scale(job.RequestScaleOut, a.arg, n+a.arg)
+		case "in":
+			return scale(job.RequestScaleIn, a.arg, n-a.arg)
+		default:
+			return job.SetTotalBatch(a.arg, 40, true)
+		}
+	}
 	if err := report("start"); err != nil {
 		return err
 	}
-	for i := 0; i < opts.iters; i++ {
-		for next < len(actions) && actions[next].iter <= i {
+	next := 0
+	for job.Iteration() < opts.iters {
+		for next < len(actions) && actions[next].iter <= job.Iteration() {
 			a := actions[next]
 			next++
-			var aerr error
-			switch a.verb {
-			case "out":
-				aerr = job.ScaleOutCtx(ctx, a.arg)
-			case "in":
-				aerr = job.ScaleInCtx(ctx, a.arg)
-			case "batch":
-				aerr = job.SetTotalBatch(a.arg, 40, true)
-			}
-			if aerr != nil {
-				return fmt.Errorf("iteration %d action %s%d: %w", i, a.verb, a.arg, aerr)
+			start := clk.Now()
+			if err := apply(a); err != nil {
+				return fmt.Errorf("iteration %d action %s%d: %w", a.iter, a.verb, a.arg, err)
 			}
 			if a.verb != "batch" {
 				fmt.Fprintf(w, "%-18s adjustment took %v\n",
-					fmt.Sprintf("%s%d timing", a.verb, a.arg), job.LastAdjustDuration())
+					fmt.Sprintf("%s%d timing", a.verb, a.arg), clk.Since(start))
 			}
 			if err := report(fmt.Sprintf("after %s%d", a.verb, a.arg)); err != nil {
 				return err
 			}
 		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("interrupted at iteration %d: %w", i, err)
-		}
-		if _, err := job.Step(); err != nil {
+		if err := step(); err != nil {
 			return err
-		}
-		if (i+1)%200 == 0 {
-			if err := report("progress"); err != nil {
-				return err
-			}
 		}
 	}
 	if err := report("final"); err != nil {
 		return err
-	}
-	// With tracing on, also exercise the resident worker-agent runtime so
-	// the trace covers all three layers — worker fleet lifecycle/steps,
-	// the coordination RPCs on the transport bus, and the core adjustment
-	// spans recorded above.
-	if rec != nil {
-		if err := runFleetSegment(ctx, w, train, tracer, reg, opts.seed); err != nil {
-			return err
-		}
 	}
 	if opts.traceOut != "" {
 		f, err := os.Create(opts.traceOut)
@@ -359,44 +372,5 @@ func run(ctx context.Context, w io.Writer, opts options) error {
 		fmt.Fprintf(w, "flight: %d records through a %d-slot ring\n",
 			flight.Total(), flight.Capacity())
 	}
-	return nil
-}
-
-// runFleetSegment runs a short fleet session — a few steps, one scale-out,
-// a few more steps — against the same dataset, under the shared tracer.
-func runFleetSegment(ctx context.Context, w io.Writer, train *elan.Dataset, tracer elan.Tracer, reg *elan.MetricsRegistry, seed int64) error {
-	fleet, err := elan.NewFleet(elan.FleetConfig{
-		Dataset:    train,
-		LayerSizes: []int{train.Features, 32, train.Classes},
-		Workers:    2,
-		TotalBatch: 30, // divisible by both 2 and the post-scale-out 3
-		LR:         0.02,
-		Momentum:   0.9,
-		Seed:       seed,
-		Tracer:     tracer,
-		Metrics:    reg,
-	})
-	if err != nil {
-		return err
-	}
-	defer fleet.Close()
-	if err := fleet.Start(ctx); err != nil {
-		return err
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := fleet.Step(); err != nil {
-			return err
-		}
-	}
-	if err := fleet.RequestScaleOut(1); err != nil {
-		return err
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := fleet.Step(); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(w, "fleet: %d workers after scale-out, consistent=%v\n",
-		fleet.NumWorkers(), fleet.ReplicasConsistent())
 	return nil
 }

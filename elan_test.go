@@ -63,7 +63,7 @@ func TestPublicAPILiveTraining(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenDataset: %v", err)
 	}
-	lj, err := NewLiveJob(LiveConfig{
+	f, err := NewFleet(FleetConfig{
 		Dataset:    ds,
 		LayerSizes: []int{2, 16, 3},
 		Workers:    2,
@@ -73,19 +73,33 @@ func TestPublicAPILiveTraining(t *testing.T) {
 		Seed:       1,
 	})
 	if err != nil {
-		t.Fatalf("NewLiveJob: %v", err)
+		t.Fatalf("NewFleet: %v", err)
 	}
-	defer lj.Close()
+	defer f.Close()
 	for i := 0; i < 5; i++ {
-		if _, err := lj.Step(); err != nil {
+		if _, err := f.Step(); err != nil {
 			t.Fatalf("Step: %v", err)
 		}
 	}
-	if err := lj.ScaleOut(2); err != nil {
-		t.Fatalf("ScaleOut: %v", err)
+	if err := f.RequestScaleOut(2); err != nil {
+		t.Fatalf("RequestScaleOut: %v", err)
 	}
-	if !lj.ReplicasConsistent() {
-		t.Fatal("replicas inconsistent")
+	for f.NumWorkers() != 4 {
+		if f.Iteration() > 1000 {
+			t.Fatal("scale-out never admitted")
+		}
+		if _, err := f.Step(); err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+	}
+	if err := f.SetTotalBatch(64, 10, true); err != nil {
+		t.Fatalf("SetTotalBatch: %v", err)
+	}
+	if f.TotalBatch() != 64 || f.LR() != 0.05 {
+		t.Fatalf("after batch change: TBS %d, LR %v", f.TotalBatch(), f.LR())
+	}
+	if !f.ReplicasConsistent() || f.Diverged() {
+		t.Fatal("replicas inconsistent or diverged")
 	}
 }
 
@@ -226,12 +240,14 @@ func TestPublicAPISnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenDataset: %v", err)
 	}
-	job, err := NewLiveJob(LiveConfig{
+	store := NewDeltaStore(DeltaConfig{})
+	job, err := NewFleet(FleetConfig{
 		Dataset: ds, LayerSizes: []int{4, 8, 3},
 		Workers: 2, TotalBatch: 16, LR: 0.05, Momentum: 0.9, Seed: 9,
+		Checkpoints: store,
 	})
 	if err != nil {
-		t.Fatalf("NewLiveJob: %v", err)
+		t.Fatalf("NewFleet: %v", err)
 	}
 	defer job.Close()
 	for i := 0; i < 5; i++ {
@@ -239,12 +255,16 @@ func TestPublicAPISnapshot(t *testing.T) {
 			t.Fatalf("Step: %v", err)
 		}
 	}
-	var snap *Snapshot
-	snap, err = job.Snapshot()
-	if err != nil || snap.Iteration != 5 {
-		t.Fatalf("Snapshot = %+v, %v", snap, err)
+	if st, err := job.SaveCheckpoint(); err != nil || !st.Full {
+		t.Fatalf("SaveCheckpoint = %+v, %v", st, err)
 	}
-	if err := job.RestoreSnapshot(snap); err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
+	if _, err := job.Step(); err != nil {
+		t.Fatalf("Step: %v", err)
+	}
+	if _, err := job.RestoreCheckpoint(); err != nil {
+		t.Fatalf("RestoreCheckpoint: %v", err)
+	}
+	if job.Iteration() != 5 {
+		t.Fatalf("restored iteration = %d, want 5", job.Iteration())
 	}
 }

@@ -2,8 +2,9 @@
 // AdaBatch-style algorithm doubles the total batch size at fixed intervals;
 // Elan scales the worker pool to match and applies the progressive linear
 // scaling rule to the learning rate. The example trains a real pure-Go MLP
-// with genuine ring-allreduce data parallelism and verifies that replicas
-// stay bitwise-consistent across every adjustment.
+// on a fleet of resident worker agents with genuine ring-allreduce data
+// parallelism and verifies that replicas stay bitwise-consistent across
+// every adjustment.
 //
 //	go run ./examples/elastic_training
 package main
@@ -35,7 +36,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	job, err := elan.NewLiveJob(elan.LiveConfig{
+	job, err := elan.NewFleet(elan.FleetConfig{
 		Dataset:    train,
 		LayerSizes: []int{features, 32, classes},
 		Workers:    2,
@@ -69,6 +70,21 @@ func run() error {
 		return nil
 	}
 
+	// A scale request goes to the application master; the new workers
+	// start and report in the background while training continues, and a
+	// later step admits them (state replication + group rebuild).
+	scale := func(request func(int) error, n, want int) error {
+		if err := request(n); err != nil {
+			return err
+		}
+		for job.NumWorkers() != want {
+			if err := steps(1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
 	if err := eval("start"); err != nil {
 		return err
 	}
@@ -86,7 +102,7 @@ func run() error {
 	if err := job.SetTotalBatch(128, 40, true); err != nil {
 		return err
 	}
-	if err := job.ScaleOut(2); err != nil { // 2 -> 4 workers
+	if err := scale(job.RequestScaleOut, 2, 4); err != nil { // 2 -> 4 workers
 		return err
 	}
 	fmt.Println("-- adjustment: TBS 64 -> 128, workers 2 -> 4 (replication + group rebuild) --")
@@ -101,7 +117,7 @@ func run() error {
 	if err := job.SetTotalBatch(256, 40, true); err != nil {
 		return err
 	}
-	if err := job.ScaleOut(4); err != nil { // 4 -> 8 workers
+	if err := scale(job.RequestScaleOut, 4, 8); err != nil { // 4 -> 8 workers
 		return err
 	}
 	fmt.Println("-- adjustment: TBS 128 -> 256, workers 4 -> 8 --")
@@ -113,7 +129,7 @@ func run() error {
 	}
 
 	// The cluster needs GPUs back: scale in to 4 without losing state.
-	if err := job.ScaleIn(4); err != nil {
+	if err := scale(job.RequestScaleIn, 4, 4); err != nil { // 8 -> 4 workers
 		return err
 	}
 	fmt.Println("-- adjustment: scale in 8 -> 4 (no state movement) --")

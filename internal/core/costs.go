@@ -5,12 +5,12 @@
 // Section II (request, report, coordinate, state replication, state
 // adjustment).
 //
-// The package offers two job flavors. Job (job.go) is driven by the
-// calibrated cost models and the simulation clock — it is what the paper's
-// timing experiments (Figures 14 and 15) run on. LiveJob (live.go) runs
-// real data-parallel training of the pure-Go MLP substrate across worker
-// goroutines with genuine state replication and group reconstruction — it
-// is what the accuracy experiments (Figures 5 and 18) run on.
+// Job (job.go) is driven by the calibrated cost models and the simulation
+// clock — it is what the paper's timing experiments (Figures 14 and 15)
+// run on. Real data-parallel training of the pure-Go MLP substrate, with
+// genuine state replication and group reconstruction, is worker.Fleet —
+// what Figure 5 and the progressive-LR ablation run on. live_test.go checks
+// that the fleet keeps the live-training properties the Job models.
 package core
 
 import (

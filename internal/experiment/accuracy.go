@@ -5,10 +5,10 @@ import (
 	"io"
 	"time"
 
-	"github.com/elan-sys/elan/internal/core"
 	"github.com/elan-sys/elan/internal/data"
 	"github.com/elan-sys/elan/internal/metrics"
 	"github.com/elan-sys/elan/internal/models"
+	"github.com/elan-sys/elan/internal/worker"
 )
 
 // Fig05Result is one point of the batch-size/accuracy sweep.
@@ -53,11 +53,18 @@ func Fig05(w io.Writer, quick bool) ([]Fig05Result, error) {
 	}
 
 	runOne := func(tbs int, hybrid bool) (acc, loss, lr float64, err error) {
-		lj, err := core.NewLiveJob(core.LiveConfig{
+		// Default: the batch grows and the LR stays, so the fleet starts at
+		// the target batch with the base LR. Hybrid starts at the base batch
+		// and grows it with the progressive linear scaling rule.
+		startTBS := tbs
+		if hybrid {
+			startTBS = baseTBS
+		}
+		f, err := worker.NewFleet(worker.FleetConfig{
 			Dataset:    train,
 			LayerSizes: []int{features, 32, classes},
 			Workers:    workers,
-			TotalBatch: baseTBS,
+			TotalBatch: startTBS,
 			LR:         baseLR,
 			Momentum:   0.9,
 			Seed:       seed,
@@ -65,41 +72,30 @@ func Fig05(w io.Writer, quick bool) ([]Fig05Result, error) {
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		defer lj.Close()
+		defer f.Close()
 		totalIters := epochs * samples / tbs
 		if totalIters < 8 {
 			totalIters = 8
 		}
-		if tbs != baseTBS {
+		if startTBS != tbs {
 			ramp := totalIters / 5
 			if ramp < 4 {
 				ramp = 4
 			}
-			if hybrid {
-				if err := lj.SetTotalBatch(tbs, ramp, true); err != nil {
-					return 0, 0, 0, err
-				}
-			} else {
-				// Default: batch grows, LR stays. Emulate by setting the
-				// batch and then forcing the schedule back to the base LR.
-				if err := lj.SetTotalBatch(tbs, 0, false); err != nil {
-					return 0, 0, 0, err
-				}
-				if err := lj.ForceLR(baseLR); err != nil {
-					return 0, 0, 0, err
-				}
-			}
-		}
-		for i := 0; i < totalIters; i++ {
-			if _, err := lj.Step(); err != nil {
+			if err := f.SetTotalBatch(tbs, ramp, true); err != nil {
 				return 0, 0, 0, err
 			}
 		}
-		if lj.Diverged() {
-			return 0, 0, lj.LR(), nil // report zero accuracy on divergence
+		for i := 0; i < totalIters; i++ {
+			if _, err := f.Step(); err != nil {
+				return 0, 0, 0, err
+			}
 		}
-		loss, acc, err = lj.Evaluate(test)
-		return acc, loss, lj.LR(), err
+		if f.Diverged() {
+			return 0, 0, f.LR(), nil // report zero accuracy on divergence
+		}
+		loss, acc, err = f.Evaluate(test)
+		return acc, loss, f.LR(), err
 	}
 
 	t := metrics.NewTable("Figure 5: final accuracy vs total batch size (live MLP)",

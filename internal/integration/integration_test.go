@@ -1,20 +1,21 @@
 // Package integration contains cross-subsystem end-to-end tests: the full
 // Elan stack (coordination over a lossy message bus + real training + state
-// replication), the S&R restart path with a real serialized checkpoint, and
-// migration of a live job between processes of worker goroutines.
+// replication), the S&R restart path through a delta checkpoint, and
+// migration of a live fleet to a fresh set of worker goroutines.
 package integration
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 	"time"
 
 	"github.com/elan-sys/elan/internal/checkpoint"
-	"github.com/elan-sys/elan/internal/coord"
-	"github.com/elan-sys/elan/internal/core"
 	"github.com/elan-sys/elan/internal/data"
-	"github.com/elan-sys/elan/internal/store"
+	"github.com/elan-sys/elan/internal/telemetry"
 	"github.com/elan-sys/elan/internal/transport"
+	"github.com/elan-sys/elan/internal/worker"
 )
 
 func dataset(t *testing.T, seed int64, n int) *data.Dataset {
@@ -26,31 +27,41 @@ func dataset(t *testing.T, seed int64, n int) *data.Dataset {
 	return d
 }
 
-func liveJob(t *testing.T, workers, tbs int) *core.LiveJob {
+// liveFleet builds a fleet; cfg supplies the optional wiring (bus,
+// metrics, checkpoint store) on top of the shared training setup.
+func liveFleet(t *testing.T, workers, tbs int, cfg worker.FleetConfig) *worker.Fleet {
 	t.Helper()
-	lj, err := core.NewLiveJob(core.LiveConfig{
-		Dataset:    dataset(t, 11, 1024),
-		LayerSizes: []int{4, 16, 3},
-		Workers:    workers,
-		TotalBatch: tbs,
-		LR:         0.05,
-		Momentum:   0.9,
-		Seed:       11,
-	})
+	cfg.Dataset = dataset(t, 11, 1024)
+	cfg.LayerSizes = []int{4, 16, 3}
+	cfg.Workers = workers
+	cfg.TotalBatch = tbs
+	cfg.LR = 0.05
+	cfg.Momentum = 0.9
+	cfg.Seed = 11
+	f, err := worker.NewFleet(cfg)
 	if err != nil {
-		t.Fatalf("NewLiveJob: %v", err)
+		t.Fatalf("NewFleet: %v", err)
 	}
-	t.Cleanup(lj.Close)
-	return lj
+	t.Cleanup(f.Close)
+	return f
+}
+
+func steps(t *testing.T, f *worker.Fleet, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := f.Step(); err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+	}
 }
 
 // TestElasticStackOverLossyBus drives the full adjustment protocol over a
 // bus with 25% message loss while real training runs: the scheduler
-// requests a scale-out through the AM service, a "new worker" goroutine
-// starts (simulated init delay) and reports, the training loop coordinates
-// between iterations, and when the adjustment fires the live job performs
-// replication and group reconstruction. Exactly one adjustment must be
-// applied, training must keep converging, and replicas stay consistent.
+// requests a scale-out through the AM service, the new agents start and
+// report over the bus, the lead worker coordinates between iterations, and
+// when the adjustment fires the fleet performs replication and group
+// reconstruction. Exactly one adjustment must be applied, training must
+// keep converging, and replicas stay consistent.
 func TestElasticStackOverLossyBus(t *testing.T) {
 	cfg := transport.DefaultBusConfig()
 	cfg.DropRate = 0.25
@@ -58,78 +69,33 @@ func TestElasticStackOverLossyBus(t *testing.T) {
 	cfg.AckTimeout = 5 * time.Millisecond
 	cfg.MaxRetries = 100
 	bus := transport.NewBus(cfg)
+	t.Cleanup(bus.Close)
+	reg := telemetry.NewRegistry()
+	f := liveFleet(t, 2, 32, worker.FleetConfig{Bus: bus, Metrics: reg})
 
-	am, err := coord.NewAM("e2e", store.New())
-	if err != nil {
-		t.Fatalf("NewAM: %v", err)
+	// 2 -> 4 workers keeps divisibility of TBS 32.
+	if err := f.RequestScaleOut(2); err != nil {
+		t.Fatalf("RequestScaleOut: %v", err)
 	}
-	if _, err := coord.NewService(am, bus, "am"); err != nil {
-		t.Fatalf("NewService: %v", err)
-	}
-	scheduler, err := coord.NewClient(bus, "scheduler", "am")
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	trainer, err := coord.NewClient(bus, "trainer", "am")
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	newWorker, err := coord.NewClient(bus, "w-new", "am")
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-
-	job := liveJob(t, 2, 32)
-
-	// Scheduler decides to scale out and launches the new worker.
-	if err := scheduler.RequestAdjustment(coord.ScaleOut, []string{"w-new"}, nil); err != nil {
-		t.Fatalf("RequestAdjustment: %v", err)
-	}
-	workerReady := make(chan error, 1)
-	go func() {
-		time.Sleep(30 * time.Millisecond) // start + initialization
-		workerReady <- newWorker.ReportReady("w-new")
-	}()
-
-	applied := 0
 	for iter := 0; iter < 200; iter++ {
-		if _, err := job.Step(); err != nil {
+		if _, err := f.Step(); err != nil {
 			t.Fatalf("Step %d: %v", iter, err)
 		}
-		// Coordinate at every iteration boundary; training never blocks.
-		adj, ok, err := trainer.Coordinate()
-		if err != nil {
-			t.Fatalf("Coordinate: %v", err)
-		}
-		if ok {
-			if adj.Kind != coord.ScaleOut {
-				t.Fatalf("adjustment kind = %v", adj.Kind)
-			}
-			// Apply the adjustment to the live job: 2 -> 4 workers keeps
-			// divisibility of TBS 32.
-			if err := job.ScaleOut(2); err != nil {
-				t.Fatalf("ScaleOut: %v", err)
-			}
-			applied++
-		}
-		if applied > 0 && iter > 120 {
+		if f.NumWorkers() == 4 && iter > 120 {
 			break
 		}
 	}
-	if err := <-workerReady; err != nil {
-		t.Fatalf("ReportReady: %v", err)
+	if n := reg.Counter("worker_adjustments_total").Value(); n != 1 {
+		t.Fatalf("adjustment applied %d times, want exactly 1", n)
 	}
-	if applied != 1 {
-		t.Fatalf("adjustment applied %d times, want exactly 1", applied)
+	if f.NumWorkers() != 4 {
+		t.Fatalf("workers = %d", f.NumWorkers())
 	}
-	if job.NumWorkers() != 4 {
-		t.Fatalf("workers = %d", job.NumWorkers())
-	}
-	if !job.ReplicasConsistent() {
+	if !f.ReplicasConsistent() {
 		t.Fatal("replicas inconsistent after bus-driven adjustment")
 	}
 	// Training converged meaningfully.
-	_, acc, err := job.Evaluate(dataset(t, 12, 512))
+	_, acc, err := f.Evaluate(dataset(t, 12, 512))
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
@@ -138,48 +104,32 @@ func TestElasticStackOverLossyBus(t *testing.T) {
 	}
 }
 
-// TestSRCheckpointRestartPath exercises the baseline's full restart on real
-// state: train, checkpoint (gob into the store), build a fresh job with a
-// different worker count, load the checkpoint, and verify the model and
-// data position carried over exactly.
+// TestSRCheckpointRestartPath exercises the Shutdown-&-Restart path on real
+// state: train, checkpoint, start a fresh fleet with a different worker
+// count on the same checkpoint store, restore the full manifest chain, and
+// verify the model and data position carried over exactly.
 func TestSRCheckpointRestartPath(t *testing.T) {
-	job := liveJob(t, 2, 32)
-	for i := 0; i < 50; i++ {
-		if _, err := job.Step(); err != nil {
-			t.Fatalf("Step: %v", err)
-		}
-	}
+	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
+	job := liveFleet(t, 2, 32, worker.FleetConfig{Checkpoints: ds})
+	steps(t, job, 50)
 	preLoss, preAcc, err := job.Evaluate(dataset(t, 12, 512))
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
-	snap, err := job.Snapshot()
+	st, err := job.SaveCheckpoint()
 	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	fs := checkpoint.NewStore()
-	size, err := fs.Save("job-ckpt", snap)
-	if err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	if size <= 0 {
-		t.Fatalf("checkpoint size = %d", size)
+		t.Fatalf("SaveCheckpoint: %v", err)
 	}
 	// The simulated cost of this checkpoint on the FS model is positive
 	// and scales with the state.
-	model := checkpoint.DefaultFSModel()
-	if model.SaveTime(size, 0) <= 0 {
-		t.Fatal("zero save time")
+	if st.BytesWritten <= 0 || checkpoint.DefaultFSModel().SaveTime(st.BytesWritten, 0) <= 0 {
+		t.Fatalf("checkpoint of %d bytes has no save cost", st.BytesWritten)
 	}
 
 	// "Restart" with 4 workers (the S&R scale-out path).
-	restarted := liveJob(t, 4, 32)
-	var loaded core.Snapshot
-	if err := fs.Load("job-ckpt", &loaded); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if err := restarted.RestoreSnapshot(&loaded); err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
+	restarted := liveFleet(t, 4, 32, worker.FleetConfig{Checkpoints: ds})
+	if _, err := restarted.RestoreCheckpoint(); err != nil {
+		t.Fatalf("RestoreCheckpoint: %v", err)
 	}
 	if restarted.Iteration() != 50 {
 		t.Fatalf("restored iteration = %d", restarted.Iteration())
@@ -188,7 +138,7 @@ func TestSRCheckpointRestartPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Evaluate restored: %v", err)
 	}
-	if math.Abs(postLoss-preLoss) > 1e-12 || math.Abs(postAcc-preAcc) > 1e-12 {
+	if postLoss != preLoss || postAcc != preAcc {
 		t.Fatalf("restored model differs: loss %v vs %v, acc %v vs %v",
 			postLoss, preLoss, postAcc, preAcc)
 	}
@@ -196,36 +146,27 @@ func TestSRCheckpointRestartPath(t *testing.T) {
 		t.Fatal("restored replicas inconsistent")
 	}
 	// And training continues from where it stopped.
-	for i := 0; i < 20; i++ {
-		if _, err := restarted.Step(); err != nil {
-			t.Fatalf("Step after restore: %v", err)
-		}
-	}
+	steps(t, restarted, 20)
 	if restarted.Iteration() != 70 {
 		t.Fatalf("iteration after resume = %d", restarted.Iteration())
 	}
 }
 
-// TestMigrationPreservesTraining migrates a live job's full state to a new
-// "process" (a fresh LiveJob on different goroutines) via Snapshot/Restore
-// — the IO-free path moves the same bytes the hooks replicate — and checks
-// bit-exact continuation.
+// TestMigrationPreservesTraining migrates a live fleet's full state to a
+// fresh fleet (new agent goroutines) through a shared delta checkpoint
+// store and checks bit-exact continuation.
 func TestMigrationPreservesTraining(t *testing.T) {
-	src := liveJob(t, 4, 32)
-	for i := 0; i < 40; i++ {
-		if _, err := src.Step(); err != nil {
-			t.Fatalf("Step: %v", err)
-		}
+	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
+	src := liveFleet(t, 4, 32, worker.FleetConfig{Checkpoints: ds})
+	steps(t, src, 40)
+	if _, err := src.SaveCheckpoint(); err != nil {
+		t.Fatalf("SaveCheckpoint: %v", err)
 	}
-	snap, err := src.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+	dst := liveFleet(t, 4, 32, worker.FleetConfig{Checkpoints: ds})
+	if _, err := dst.RestoreCheckpoint(); err != nil {
+		t.Fatalf("RestoreCheckpoint: %v", err)
 	}
-	dst := liveJob(t, 4, 32)
-	if err := dst.RestoreSnapshot(snap); err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
-	}
-	// Both jobs now step in lockstep and must produce identical losses
+	// Both fleets now step in lockstep and must produce identical losses
 	// (same state, same serial cursor, same data).
 	for i := 0; i < 10; i++ {
 		a, err := src.Step()
@@ -236,40 +177,73 @@ func TestMigrationPreservesTraining(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dst Step: %v", err)
 		}
-		if math.Abs(a-b) > 1e-12 {
+		if math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("step %d: losses diverged %v vs %v", i, a, b)
 		}
 	}
 }
 
-// TestSnapshotValidation covers the restore error paths.
+// ckptHeader mirrors the fleet's checkpoint header by field name, which is
+// how gob matches fields, so tests can forge corrupt checkpoints.
+type ckptHeader struct {
+	Iter     int
+	TBS      int
+	LR0, LRT float64
+	T0, T    int
+	Cursor   int
+}
+
+// TestSnapshotValidation covers the restore error paths: a checkpoint
+// whose state vector is short, whose LR schedule is negative, or whose
+// loader cursor is negative is rejected, and the fleet trains on
+// unchanged.
 func TestSnapshotValidation(t *testing.T) {
-	job := liveJob(t, 2, 32)
-	if err := job.RestoreSnapshot(nil); err == nil {
-		t.Fatal("nil snapshot accepted")
+	ds := checkpoint.NewDeltaStore(checkpoint.DeltaConfig{})
+	job := liveFleet(t, 2, 32, worker.FleetConfig{Checkpoints: ds, CheckpointName: "job"})
+	steps(t, job, 5)
+	if _, err := job.SaveCheckpoint(); err != nil {
+		t.Fatalf("SaveCheckpoint: %v", err)
 	}
-	snap, err := job.Snapshot()
+	hdrB, state, _, err := ds.Restore("job")
 	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+		t.Fatalf("Restore: %v", err)
 	}
-	bad := *snap
-	bad.TBS = 7 // not divisible by 2 workers
-	if err := job.RestoreSnapshot(&bad); err == nil {
-		t.Fatal("indivisible TBS accepted")
+	var good ckptHeader
+	if err := gob.NewDecoder(bytes.NewReader(hdrB)).Decode(&good); err != nil {
+		t.Fatalf("decode header: %v", err)
 	}
-	bad = *snap
-	bad.Params = snap.Params[:3]
-	if err := job.RestoreSnapshot(&bad); err == nil {
-		t.Fatal("short params accepted")
+	if good.Iter != 5 || good.LR0 <= 0 {
+		t.Fatalf("header = %+v", good)
 	}
-	bad = *snap
-	bad.LR0 = -1
-	if err := job.RestoreSnapshot(&bad); err == nil {
-		t.Fatal("negative LR accepted")
+	forge := func(h ckptHeader, state []float64) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(h); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ds.Save("job", buf.Bytes(), state); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
 	}
-	bad = *snap
-	bad.Cursor = -5
-	if err := job.RestoreSnapshot(&bad); err == nil {
-		t.Fatal("negative cursor accepted")
+	negLR, negCursor := good, good
+	negLR.LR0 = -1
+	negCursor.Cursor = -5
+	for _, bad := range []struct {
+		name  string
+		hdr   ckptHeader
+		state []float64
+	}{
+		{"short state", good, state[:3]},
+		{"negative LR", negLR, state},
+		{"negative cursor", negCursor, state},
+	} {
+		forge(bad.hdr, bad.state)
+		if _, err := job.RestoreCheckpoint(); err == nil {
+			t.Fatalf("%s accepted", bad.name)
+		}
+	}
+	steps(t, job, 1)
+	if job.Iteration() != 6 || !job.ReplicasConsistent() {
+		t.Fatalf("fleet changed by rejected restores: iteration %d", job.Iteration())
 	}
 }

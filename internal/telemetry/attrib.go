@@ -62,9 +62,9 @@ func ClassifySpan(name string) Phase {
 }
 
 // RankStep is the attribution of one rank's share of one training step: how
-// its wall time inside the worker.rank_step / core.rank_step span splits
-// into phases. Stall is the uncovered remainder — time inside the rank step
-// that no classified child span accounts for.
+// its wall time inside the worker.rank_step span splits into phases. Stall
+// is the uncovered remainder — time inside the rank step that no classified
+// child span accounts for.
 type RankStep struct {
 	Iter      int           `json:"iter"`
 	Rank      string        `json:"rank"`

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -143,5 +144,139 @@ func TestFleetClusterCrashRejoin(t *testing.T) {
 	}
 	if !f.ReplicasConsistent() {
 		t.Fatal("replicas diverged across crash/rejoin on cluster")
+	}
+}
+
+// requestAndAdmit issues a scale request and steps until the fleet has
+// want workers.
+func requestAndAdmit(t *testing.T, f *Fleet, request func(int) error, n, want int) {
+	t.Helper()
+	if err := request(n); err != nil {
+		t.Fatalf("scale request: %v", err)
+	}
+	for i := 0; f.NumWorkers() != want; i++ {
+		if i == 1000 {
+			t.Fatalf("workers = %d after %d steps, want %d", f.NumWorkers(), i, want)
+		}
+		if _, err := f.Step(); err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+	}
+}
+
+// allreduceLinks collects the distinct "link" attributes of the allreduce
+// spans recorded so far, then resets the recorder.
+func allreduceLinks(t *testing.T, rec *telemetry.Recorder) map[string]bool {
+	t.Helper()
+	out := map[string]bool{}
+	for _, sp := range rec.Snapshot() {
+		if sp.Name != "collective.allreduce" {
+			continue
+		}
+		link, ok := sp.Attr("link")
+		if !ok {
+			t.Fatal("allreduce span missing link attr")
+		}
+		out[link] = true
+	}
+	rec.Reset()
+	return out
+}
+
+// TestFleetClusterElasticPlacement is the elasticity story on a simulated
+// cluster: 4 workers span two nodes and reduce hierarchically over L4;
+// scaling in to 2 re-packs the placement onto one node and the group
+// degenerates to the flat single-node ring (L1); scaling back out re-spans
+// the nodes. The replica invariant holds across every transition and Close
+// returns the reservation.
+func TestFleetClusterElasticPlacement(t *testing.T) {
+	guardGoroutines(t)
+	cl := smallCluster(t)
+	rec := telemetry.NewRecorder(clock.Wall{}, 8192)
+	f, err := NewFleet(FleetConfig{
+		Dataset:     dataset(t, 1024),
+		LayerSizes:  []int{4, 16, 3},
+		Workers:     4,
+		TotalBatch:  32,
+		LR:          0.05,
+		Momentum:    0.9,
+		Seed:        21,
+		Tracer:      rec,
+		Cluster:     cl,
+		BucketElems: 60,
+	})
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	t.Cleanup(f.Close)
+	step := func(phase string, wantFree int, wantLink string) {
+		t.Helper()
+		if free := cl.NumFree(); free != wantFree {
+			t.Fatalf("%s: %d GPUs free, want %d", phase, free, wantFree)
+		}
+		rec.Reset() // keep only this phase's steady-state steps
+		for i := 0; i < 5; i++ {
+			if _, err := f.Step(); err != nil {
+				t.Fatalf("%s step %d: %v", phase, i, err)
+			}
+		}
+		if !f.ReplicasConsistent() {
+			t.Fatalf("replicas diverged (%s)", phase)
+		}
+		if links := allreduceLinks(t, rec); !links[wantLink] || len(links) != 1 {
+			t.Fatalf("%s: links = %v, want {%s}", phase, links, wantLink)
+		}
+	}
+	step("4 workers, two nodes", 0, "L4")
+	requestAndAdmit(t, f, f.RequestScaleIn, 2, 2)
+	step("2 workers, one node", 2, "L1")
+	requestAndAdmit(t, f, f.RequestScaleOut, 2, 4)
+	step("back to 4 workers", 0, "L4")
+	f.Close()
+	if free := cl.NumFree(); free != 4 {
+		t.Fatalf("%d GPUs free after Close, want 4", free)
+	}
+}
+
+// TestFleetBucketedMatchesWholeVector pins down the accuracy contract of
+// bucketing: splitting the gradient into buckets shifts each element's ring
+// rotation anchor, so the averaged gradients are the same real-number mean
+// under a different IEEE accumulation order — training must track the
+// whole-vector configuration to tight tolerance (the bitwise guarantee
+// belongs to BucketElems=0, pinned in the ddp package's differential
+// tests).
+func TestFleetBucketedMatchesWholeVector(t *testing.T) {
+	guardGoroutines(t)
+	run := func(bucketElems int) []float64 {
+		f, err := NewFleet(FleetConfig{
+			Dataset:     dataset(t, 1024),
+			LayerSizes:  []int{4, 24, 3},
+			Workers:     3,
+			TotalBatch:  24,
+			LR:          0.05,
+			Momentum:    0.9,
+			Seed:        7,
+			BucketElems: bucketElems,
+		})
+		if err != nil {
+			t.Fatalf("NewFleet: %v", err)
+		}
+		defer f.Close()
+		for i := 0; i < 20; i++ {
+			if _, err := f.Step(); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+		}
+		return f.agents[0].net.FlattenParams(nil)
+	}
+	whole := run(0)
+	bucketed := run(60)
+	if len(whole) != len(bucketed) {
+		t.Fatalf("param count mismatch: %d vs %d", len(whole), len(bucketed))
+	}
+	for i := range whole {
+		if diff := math.Abs(whole[i] - bucketed[i]); diff > 1e-9*math.Max(1, math.Abs(whole[i])) {
+			t.Fatalf("param %d drifted: whole-vector %v vs bucketed %v", i, whole[i], bucketed[i])
+		}
 	}
 }
