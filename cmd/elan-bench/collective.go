@@ -88,9 +88,13 @@ func nvlinkCommModel() perfmodel.CommModel {
 // hierarchical engine on the same 64k-element vector, in-process.
 func measureCollective(quick bool) ([]hotBenchResult, error) {
 	clk := clock.Wall{}
+	// Quick mode still needs enough iterations for allocs/op to stay below
+	// one: the runtime's own post-GC cleanup goroutines (the unique-map
+	// sweep started by measureHot's runtime.GC) can malloc a few objects
+	// inside the timed window, and malloc counts are process-wide.
 	iters := 200
 	if quick {
-		iters = 4
+		iters = 64
 	}
 	const ranks, vecLen = 8, 1 << 16
 
