@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -29,8 +31,8 @@ import (
 //
 // Checkpoints: delta saves and warm restores must cost O(dirty), not
 // O(model): as the parameter count grows with the dirty set fixed, delta
-// bytes and warm-restore work stay flat while the full-blob path (the old
-// gob checkpoint.Store) grows linearly.
+// bytes and warm-restore work stay flat while the full-blob baseline (the
+// whole state gob-encoded on every save) grows linearly.
 type storeBenchRow struct {
 	Name        string  `json:"name"`
 	Impl        string  `json:"impl"` // "mutex" | "sharded"
@@ -369,12 +371,9 @@ func storeCkptBench(report *storeBenchReport, quick bool) error {
 			return err
 		}
 
-		blob := checkpoint.NewStore()
-		if _, err := blob.Save(name, state); err != nil {
-			return err
-		}
-		blobBytes, err := blob.Size(name)
-		if err != nil {
+		// The full-blob baseline: the whole state gob-encoded per save.
+		var blob bytes.Buffer
+		if err := gob.NewEncoder(&blob).Encode(state); err != nil {
 			return err
 		}
 
@@ -395,7 +394,7 @@ func storeCkptBench(report *storeBenchReport, quick bool) error {
 			Name:           name,
 			NumElems:       n,
 			DirtyElems:     dirtyElems,
-			FullBlobBytes:  blobBytes,
+			FullBlobBytes:  int64(blob.Len()),
 			DeltaBytes:     st.BytesWritten,
 			DeltaChunks:    st.ChunksWritten,
 			FullRestoreNs:  fullNs,

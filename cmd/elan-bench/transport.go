@@ -15,13 +15,13 @@ import (
 )
 
 // The -transport report measures the TCP data plane under concurrency:
-// the legacy dial-per-call path (transport.Call — one TCP handshake per
-// request) against the pooled, multiplexed client (transport.Client —
-// long-lived connections, requests matched by per-connection IDs). Both
-// drive the same echo server over loopback. The headline figure is
-// speedup_c256: pooled throughput over dial-per-call throughput at 256
-// concurrent callers, the ROADMAP's "millions of users" artery under its
-// heaviest local load point. Allocation figures are process-wide
+// the dial-per-call baseline (a fresh one-connection transport.Client per
+// request — one TCP handshake per call) against the pooled, multiplexed
+// client (one transport.Client — long-lived connections, requests matched
+// by per-connection IDs). Both drive the same echo server over loopback.
+// The headline figure is speedup_c256: pooled throughput over
+// dial-per-call throughput at 256 concurrent callers, the ROADMAP's
+// "millions of users" artery under its heaviest local load point. Allocation figures are process-wide
 // (runtime.MemStats), so rows include the server side of every call —
 // which is exactly the end-to-end buffer-reuse contract being guarded.
 type transportBenchRow struct {
@@ -87,6 +87,14 @@ func measureTransport(clk clock.Clock, name, path string, conc, callsPer int, ca
 	return row, nil
 }
 
+// dialPerCall is the baseline's one request: dial, call, tear down.
+func dialPerCall(ctx context.Context, addr string, payload []byte, timeout time.Duration) error {
+	client := transport.NewClient(addr, transport.ClientConfig{Conns: 1})
+	defer client.Close()
+	_, err := client.Call(ctx, "echo", payload, timeout)
+	return err
+}
+
 // transportBenches runs the dial-per-call vs pooled ladder over one echo
 // server. quick shrinks per-worker call counts for CI smoke runs.
 func transportBenches(quick bool) (*transportBenchReport, error) {
@@ -107,7 +115,7 @@ func transportBenches(quick bool) (*transportBenchReport, error) {
 	const timeout = 30 * time.Second
 
 	report := &transportBenchReport{
-		Note: "loopback echo, 64B payload; dial_per_call = one TCP handshake per request (transport.Call), " +
+		Note: "loopback echo, 64B payload; dial_per_call = one TCP handshake per request (fresh transport.Client per call), " +
 			"pooled = multiplexed transport.Client over 8 connections; allocs are process-wide incl. the server",
 		PayloadSize: len(payload),
 	}
@@ -126,8 +134,7 @@ func transportBenches(quick bool) (*transportBenchReport, error) {
 		}
 		row, err := measureTransport(clk, fmt.Sprintf("dial_per_call_c%d", lv.conc), "dial_per_call",
 			lv.conc, calls, func() error {
-				_, err := transport.Call(ctx, addr, "echo", payload, timeout)
-				return err
+				return dialPerCall(ctx, addr, payload, timeout)
 			})
 		if err != nil {
 			return nil, err

@@ -14,6 +14,7 @@ package main
 // that is allowed, and it demonstrates machinery the public facade wraps.
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,6 +29,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	// The replicated store (etcd in the paper's deployment).
 	st := store.New()
 
@@ -36,13 +38,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	svc1, err := coord.NewTCPService(am1, "127.0.0.1:0")
+	svc1, err := coord.NewTCPServiceCtx(ctx, am1, "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	addr := svc1.Addr
+	addr := svc1.Addr()
 	fmt.Printf("   AM listening on %s\n", addr)
-	client := coord.NewTCPClient(addr)
+	client := coord.NewTCPClientCtx(ctx, addr)
+	defer client.Close()
 
 	fmt.Println("2. scheduler requests a scale-out by two workers (w5, w6)")
 	if err := client.RequestAdjustment(coord.ScaleOut, []string{"w5", "w6"}, nil); err != nil {
@@ -69,7 +72,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	svc2, err := coord.NewTCPService(am2, addr)
+	svc2, err := coord.NewTCPServiceCtx(ctx, am2, addr)
 	if err != nil {
 		return err
 	}

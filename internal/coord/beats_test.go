@@ -4,13 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
 	"github.com/elan-sys/elan/internal/clock"
-	"github.com/elan-sys/elan/internal/store"
-	"github.com/elan-sys/elan/internal/transport"
 )
 
 // TestBeatBatcherDifferential is the coalescing proof: the same beat
@@ -144,92 +141,5 @@ func TestBeatBatcherRetainsOnSendFailure(t *testing.T) {
 	}
 	if b.Pending() != 0 {
 		t.Fatalf("Pending = %d after successful flush", b.Pending())
-	}
-}
-
-// TestBeatsOverBus: the worker.beats kind lands in the bus service's
-// attached monitor; without a monitor the frame is rejected.
-func TestBeatsOverBus(t *testing.T) {
-	sim := clock.NewSim(time.Unix(0, 0))
-	t.Cleanup(sim.AutoAdvance(0))
-	cfg := transport.DefaultBusConfig()
-	cfg.Clock = sim
-	bus := transport.NewBus(cfg)
-	t.Cleanup(bus.Close)
-	am, err := NewAM("beats-job", store.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewService(am, bus, "am")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, err := NewHeartbeatMonitor(sim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.SetMonitor(hb)
-	cl, err := NewClient(bus, "w1", "am")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Beats([]string{"w1", "w2"}); err != nil {
-		t.Fatalf("Beats: %v", err)
-	}
-	if got := hb.Tracked(); !reflect.DeepEqual(got, []string{"w1", "w2"}) {
-		t.Fatalf("Tracked = %v", got)
-	}
-
-	if _, err := NewService(am, bus, "am-bare"); err != nil {
-		t.Fatal(err)
-	}
-	cl2, err := NewClient(bus, "w2", "am-bare")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl2.Beats([]string{"w9"}); err == nil || !strings.Contains(err.Error(), "no heartbeat monitor") {
-		t.Fatalf("Beats without monitor = %v, want ErrNoMonitor", err)
-	}
-}
-
-// TestBeatsOverTCP: the batcher wired to a TCPClient coalesces a tick of
-// beats into one frame over the wire and the TCP service fans it into the
-// monitor.
-func TestBeatsOverTCP(t *testing.T) {
-	am, err := NewAM("beats-tcp", store.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewTCPService(am, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
-	hb, err := NewHeartbeatMonitor(clock.Wall{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.SetMonitor(hb)
-	cl := NewTCPClient(svc.Addr)
-	t.Cleanup(cl.Close)
-
-	sim := clock.NewSim(time.Unix(0, 0))
-	b, err := NewBeatBatcher(sim, cl.Beats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []string{"w1", "w2", "w3", "w1"} {
-		if err := b.Beat(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := hb.Tracked(); !reflect.DeepEqual(got, []string{"w1", "w2", "w3"}) {
-		t.Fatalf("Tracked = %v", got)
-	}
-	if b.Frames() != 1 {
-		t.Fatalf("Frames = %d, want 1", b.Frames())
 	}
 }

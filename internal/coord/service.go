@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 
 	"github.com/elan-sys/elan/internal/telemetry"
 	"github.com/elan-sys/elan/internal/transport"
@@ -11,12 +12,15 @@ import (
 
 // This file exposes the AM over the transport layer, giving the paper's
 // Service API (Table III) a real message-passing implementation: the
-// scheduler and workers interact with the AM only through reliable,
-// deduplicated messages, never shared memory. Message kinds:
+// scheduler and workers interact with the AM only through messages, never
+// shared memory. The protocol is written once and runs over either
+// transport — the in-process bus (resends plus incarnation dedup) or
+// pooled TCP frames (reconnect plus backoff). Message kinds:
 //
 //	adjust.request   scheduler -> AM    RequestAdjustment
 //	worker.report    new worker -> AM   ReportReady
 //	worker.coord     existing -> AM     Coordinate
+//	worker.beats     workers -> AM      batched liveness (beats.go)
 //	am.state         anyone -> AM       State/Seq inspection
 
 // Message kinds understood by the AM service.
@@ -55,61 +59,101 @@ type StateReplyMsg struct {
 	Pending []string `json:"pending"`
 }
 
-// Service binds an AM to a bus endpoint.
+// Service serves an AM over one transport: a bus endpoint or a TCP
+// listener. Both run the same handler, so the message kinds, spans and
+// error text are identical whichever transport carries them; only the
+// error identity differs (TCP carries the transport sentinels alone).
 type Service struct {
-	am   *AM
-	ep   *transport.Endpoint
-	bus  *transport.Bus
-	name string
-	tr   telemetry.Tracer
-	hb   *HeartbeatMonitor
+	am    *AM
+	addr  string
+	close func()
+	// tr and hb are swapped atomically: a recovered service may already be
+	// answering retried calls when its owner attaches them.
+	tr atomic.Pointer[telemetry.Tracer]
+	hb atomic.Pointer[HeartbeatMonitor]
 }
 
-// NewService registers the AM at name on the bus and starts serving. The
-// service lives until Close (or bus shutdown).
-func NewService(am *AM, bus *transport.Bus, name string) (*Service, error) {
-	return NewServiceCtx(context.Background(), am, bus, name)
-}
-
-// NewServiceCtx is NewService under a parent lifecycle context: when ctx
-// is cancelled the service deregisters from the bus, so an AM torn down by
-// its job's context stops answering automatically.
-func NewServiceCtx(ctx context.Context, am *AM, bus *transport.Bus, name string) (*Service, error) {
+func newService(am *AM) (*Service, error) {
 	if am == nil {
 		return nil, fmt.Errorf("coord: nil AM")
 	}
-	s := &Service{am: am, bus: bus, name: name, tr: telemetry.Nop{}}
-	ep, err := bus.Endpoint(name, s.handle)
-	if err != nil {
-		return nil, fmt.Errorf("coord: register service: %w", err)
-	}
-	s.ep = ep
-	if ctx != nil && ctx.Done() != nil {
-		context.AfterFunc(ctx, s.Close)
-	}
+	s := &Service{am: am}
+	s.SetTracer(nil)
 	return s, nil
 }
 
-// Close deregisters the service's endpoint from the bus; in-flight calls
-// against it fail with transport.ErrClosed. Closing twice is safe.
-func (s *Service) Close() { s.bus.Remove(s.name) }
+// serve records where the service answers and how it stops, and ties
+// Close to ctx.
+func (s *Service) serve(ctx context.Context, addr string, stop func()) *Service {
+	s.addr, s.close = addr, stop
+	if ctx != nil && ctx.Done() != nil {
+		context.AfterFunc(ctx, s.Close)
+	}
+	return s
+}
 
-// SetTracer makes the service open a span per AM operation (a remote child
-// of the transport handler's span, which itself chains to the caller).
-func (s *Service) SetTracer(tr telemetry.Tracer) { s.tr = telemetry.OrNop(tr) }
+// NewServiceCtx registers the AM at name on the bus and starts serving.
+// When ctx is cancelled the service deregisters from the bus, so an AM
+// torn down by its job's context stops answering automatically.
+func NewServiceCtx(ctx context.Context, am *AM, bus *transport.Bus, name string) (*Service, error) {
+	s, err := newService(am)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := bus.Endpoint(name, s.handle); err != nil {
+		return nil, fmt.Errorf("coord: register service: %w", err)
+	}
+	return s.serve(ctx, name, func() { bus.Remove(name) }), nil
+}
+
+// NewTCPServiceCtx serves the AM on addr ("127.0.0.1:0" for an ephemeral
+// port) over the pooled, multiplexed TCP frames of transport.Server — the
+// deployment the paper describes, with the scheduler outside the job's
+// process. Cancelling ctx shuts the server down, tearing open connections;
+// the AM state machine's persistence lets a successor on the same address
+// resume where this one stopped.
+func NewTCPServiceCtx(ctx context.Context, am *AM, addr string) (*Service, error) {
+	s, err := newService(am)
+	if err != nil {
+		return nil, err
+	}
+	srv := transport.NewServer(s.handle)
+	bound, err := srv.Listen(addr)
+	if err != nil {
+		return nil, fmt.Errorf("coord: tcp service: %w", err)
+	}
+	return s.serve(ctx, bound, srv.Close), nil
+}
+
+// Addr returns where the service answers: its bus endpoint name, or the
+// bound TCP address.
+func (s *Service) Addr() string { return s.addr }
+
+// Close stops serving; in-flight calls against the service fail with
+// transport errors. Closing twice is safe.
+func (s *Service) Close() { s.close() }
+
+// SetTracer makes the service open a span per AM operation, a remote child
+// of the caller's span (via the transport handler's span when the
+// transport traces). Safe to call while the service is answering.
+func (s *Service) SetTracer(tr telemetry.Tracer) {
+	tr = telemetry.OrNop(tr)
+	s.tr.Store(&tr)
+}
 
 // SetMonitor attaches the liveness monitor that batched worker.beats
-// frames fan into. Like SetTracer, call it before serving traffic.
-func (s *Service) SetMonitor(hb *HeartbeatMonitor) { s.hb = hb }
+// frames fan into. Safe to call while the service is answering.
+func (s *Service) SetMonitor(hb *HeartbeatMonitor) { s.hb.Store(hb) }
 
 func (s *Service) handle(m transport.Message) ([]byte, error) {
+	tr := *s.tr.Load()
 	switch m.Kind {
 	case KindAdjustRequest:
 		var req AdjustRequestMsg
 		if err := json.Unmarshal(m.Payload, &req); err != nil {
 			return nil, fmt.Errorf("coord: bad adjust.request: %w", err)
 		}
-		span := telemetry.StartRemote(s.tr, "coord.adjust_request", m.Trace)
+		span := telemetry.StartRemote(tr, "coord.adjust_request", m.Trace)
 		span.Annotate("kind", req.Kind.String())
 		// The trace stored with the pending adjustment is the original
 		// requester's when it sent one, else this service span's, so
@@ -132,7 +176,7 @@ func (s *Service) handle(m transport.Message) ([]byte, error) {
 		if err := json.Unmarshal(m.Payload, &req); err != nil {
 			return nil, fmt.Errorf("coord: bad worker.report: %w", err)
 		}
-		span := telemetry.StartRemote(s.tr, "coord.report_ready", m.Trace)
+		span := telemetry.StartRemote(tr, "coord.report_ready", m.Trace)
 		span.Annotate("worker", req.Worker)
 		err := s.am.ReportReady(req.Worker)
 		if err != nil {
@@ -144,7 +188,7 @@ func (s *Service) handle(m transport.Message) ([]byte, error) {
 		}
 		return []byte(`{}`), nil
 	case KindCoordinate:
-		span := telemetry.StartRemote(s.tr, "coord.coordinate", m.Trace)
+		span := telemetry.StartRemote(tr, "coord.coordinate", m.Trace)
 		adj, ok, err := s.am.Coordinate()
 		if err != nil {
 			span.Annotate("error", err.Error())
@@ -155,7 +199,7 @@ func (s *Service) handle(m transport.Message) ([]byte, error) {
 		}
 		return json.Marshal(CoordReplyMsg{HasAdjustment: ok, Adjustment: adj})
 	case KindHeartbeats:
-		return handleBeats(s.hb, m.Payload)
+		return handleBeats(s.hb.Load(), m.Payload)
 	case KindAMState:
 		return json.Marshal(StateReplyMsg{
 			State:   s.am.State(),
@@ -167,23 +211,19 @@ func (s *Service) handle(m transport.Message) ([]byte, error) {
 	}
 }
 
-// Client is the worker/scheduler side of the AM service. Every call runs
-// under the client's parent context, so cancelling it aborts in-flight
-// resend loops.
+// Client is the worker/scheduler side of the AM service. Every RPC goes
+// through call, bound at construction to one transport; every call runs
+// under the client's parent context unless the caller passes its own, so
+// cancelling the parent aborts in-flight resend and reconnect loops.
 type Client struct {
-	ctx    context.Context
-	ep     *transport.Endpoint
-	amName string
+	ctx   context.Context
+	call  func(ctx context.Context, kind string, payload []byte) ([]byte, error)
+	close func()
 }
 
-// NewClient creates a client endpoint named name talking to the AM at
-// amName on the same bus.
-func NewClient(bus *transport.Bus, name, amName string) (*Client, error) {
-	return NewClientCtx(context.Background(), bus, name, amName)
-}
-
-// NewClientCtx is NewClient with a parent context bounding every call the
-// client makes.
+// NewClientCtx creates a client endpoint named name talking to the AM at
+// amName on the same bus. The bus resends and deduplicates, so each call
+// reaches the AM exactly once.
 func NewClientCtx(ctx context.Context, bus *transport.Bus, name, amName string) (*Client, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -192,10 +232,44 @@ func NewClientCtx(ctx context.Context, bus *transport.Bus, name, amName string) 
 	if err != nil {
 		return nil, fmt.Errorf("coord: client endpoint: %w", err)
 	}
-	return &Client{ctx: ctx, ep: ep, amName: amName}, nil
+	call := func(ctx context.Context, kind string, payload []byte) ([]byte, error) {
+		return ep.CallCtx(ctx, amName, kind, payload)
+	}
+	return &Client{ctx: ctx, call: call, close: func() { bus.Remove(name) }}, nil
 }
 
-// RequestAdjustment calls the AM's service API over the bus.
+// tcpCallAttempts is the TCP client's retry budget per call: enough
+// jittered backoff to ride out an AM restart on the same address.
+const tcpCallAttempts = 5
+
+// NewTCPClientCtx creates a client for the AM served at addr over a
+// pooled, multiplexed transport.Client: connections are dialed lazily,
+// reused across calls, and carry concurrent requests. A dead connection
+// fails its in-flight calls with retryable transport errors, the pool
+// invalidates it, and the retry backoff redials the AM's next incarnation.
+// Handler errors (the AM's own rejections) return at once, so a
+// non-idempotent call runs at most once. Cancelling ctx closes the pool.
+func NewTCPClientCtx(ctx context.Context, addr string) *Client {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	tc := transport.NewClient(addr, transport.ClientConfig{})
+	policy := transport.RetryPolicy{Attempts: tcpCallAttempts}
+	call := func(ctx context.Context, kind string, payload []byte) ([]byte, error) {
+		return tc.CallRetry(ctx, kind, payload, transport.DefaultCallTimeout, policy)
+	}
+	if ctx.Done() != nil {
+		context.AfterFunc(ctx, tc.Close)
+	}
+	return &Client{ctx: ctx, call: call, close: tc.Close}
+}
+
+// Close releases the client's transport: its bus endpoint, or its pooled
+// connections (resolving in-flight calls with transport.ErrClosed).
+// Closing twice is safe.
+func (c *Client) Close() { c.close() }
+
+// RequestAdjustment calls the AM's service API.
 func (c *Client) RequestAdjustment(kind Kind, add, remove []string) error {
 	return c.RequestAdjustmentTraced(c.ctx, kind, add, remove, telemetry.TraceContext{})
 }
@@ -209,7 +283,7 @@ func (c *Client) RequestAdjustmentTraced(ctx context.Context, kind Kind, add, re
 	if err != nil {
 		return err
 	}
-	_, err = c.ep.CallCtx(c.callCtx(ctx), c.amName, KindAdjustRequest, payload)
+	_, err = c.call(c.callCtx(ctx), KindAdjustRequest, payload)
 	return err
 }
 
@@ -225,7 +299,7 @@ func (c *Client) ReportReadyCtx(ctx context.Context, worker string) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.ep.CallCtx(c.callCtx(ctx), c.amName, KindWorkerReport, payload)
+	_, err = c.call(c.callCtx(ctx), KindWorkerReport, payload)
 	return err
 }
 
@@ -236,7 +310,7 @@ func (c *Client) Beats(workers []string) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.ep.CallCtx(c.ctx, c.amName, KindHeartbeats, payload)
+	_, err = c.call(c.ctx, KindHeartbeats, payload)
 	return err
 }
 
@@ -248,7 +322,7 @@ func (c *Client) Coordinate() (Adjustment, bool, error) {
 // CoordinateCtx is Coordinate under a caller context; a span carried in ctx
 // makes the coordination round-trip part of its trace.
 func (c *Client) CoordinateCtx(ctx context.Context) (Adjustment, bool, error) {
-	out, err := c.ep.CallCtx(c.callCtx(ctx), c.amName, KindCoordinate, nil)
+	out, err := c.call(c.callCtx(ctx), KindCoordinate, nil)
 	if err != nil {
 		return Adjustment{}, false, err
 	}
@@ -268,7 +342,7 @@ func (c *Client) callCtx(ctx context.Context) context.Context {
 
 // AMState fetches the AM's state for monitoring.
 func (c *Client) AMState() (StateReplyMsg, error) {
-	out, err := c.ep.CallCtx(c.ctx, c.amName, KindAMState, nil)
+	out, err := c.call(c.ctx, KindAMState, nil)
 	if err != nil {
 		return StateReplyMsg{}, err
 	}

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -12,7 +13,7 @@ import (
 )
 
 // TestTCPServiceLoadSmoke is the coord half of the CI load-smoke job: many
-// concurrent TCPClients (each holding its own pooled connections) drive
+// concurrent TCP clients (each holding its own pooled connections) drive
 // the full service API — reports, state reads, coordination polls —
 // against one AM over real TCP. Every call must succeed, the AM must end
 // in a consistent state, and the pooled clients must reclaim all their
@@ -28,15 +29,15 @@ func TestTCPServiceLoadSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewAM: %v", err)
 	}
-	svc, err := NewTCPService(am, "127.0.0.1:0")
+	svc, err := NewTCPServiceCtx(context.Background(), am, "127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("NewTCPService: %v", err)
+		t.Fatalf("NewTCPServiceCtx: %v", err)
 	}
 	defer svc.Close()
 
 	// Seed one adjustment; the load traffic reports its workers ready in
 	// the middle of the state-read storm.
-	admin := NewTCPClient(svc.Addr)
+	admin := NewTCPClientCtx(context.Background(), svc.Addr())
 	defer admin.Close()
 	if err := admin.RequestAdjustment(ScaleOut, []string{"w1", "w2"}, nil); err != nil {
 		t.Fatalf("RequestAdjustment: %v", err)
@@ -50,7 +51,7 @@ func TestTCPServiceLoadSmoke(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl := NewTCPClient(svc.Addr)
+			cl := NewTCPClientCtx(context.Background(), svc.Addr())
 			defer cl.Close()
 			for i := 0; i < callsPer; i++ {
 				if _, err := cl.AMState(); err != nil {

@@ -347,14 +347,16 @@ func TestTCPServerRoundTrip(t *testing.T) {
 	}
 	defer srv.Close()
 	ctx := context.Background()
-	out, err := Call(ctx, addr, "test", []byte("payload"), time.Second)
+	client := NewClient(addr, ClientConfig{Conns: 1})
+	defer client.Close()
+	out, err := client.Call(ctx, "test", []byte("payload"), time.Second)
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
 	if string(out) != "ok:payload" {
 		t.Fatalf("reply = %q", out)
 	}
-	if _, err := Call(ctx, addr, "fail", nil, time.Second); err == nil || !strings.Contains(err.Error(), "requested failure") {
+	if _, err := client.Call(ctx, "fail", nil, time.Second); err == nil || !strings.Contains(err.Error(), "requested failure") {
 		t.Fatalf("error not propagated: %v", err)
 	}
 }
@@ -369,12 +371,14 @@ func TestTCPReconnectAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	if _, err := Call(ctx, addr, "ping", nil, time.Second); err != nil {
+	client := NewClient(addr, ClientConfig{Conns: 1})
+	defer client.Close()
+	if _, err := client.Call(ctx, "ping", nil, time.Second); err != nil {
 		t.Fatalf("first Call: %v", err)
 	}
 	srv1.Close()
-	// Server gone: plain Call fails.
-	if _, err := Call(ctx, addr, "ping", nil, 100*time.Millisecond); err == nil {
+	// Server gone: a plain Call fails.
+	if _, err := client.Call(ctx, "ping", nil, 100*time.Millisecond); err == nil {
 		t.Fatal("Call succeeded against closed server")
 	}
 	// Restart on the same port.
@@ -384,7 +388,7 @@ func TestTCPReconnectAfterRestart(t *testing.T) {
 	}
 	defer srv2.Close()
 	policy := RetryPolicy{Attempts: 5, Base: time.Millisecond, Max: 10 * time.Millisecond}
-	out, err := CallRetry(ctx, addr, "ping", nil, 200*time.Millisecond, policy)
+	out, err := client.CallRetry(ctx, "ping", nil, 200*time.Millisecond, policy)
 	if err != nil {
 		t.Fatalf("CallRetry after restart: %v", err)
 	}
@@ -400,7 +404,7 @@ func TestCallRetryExhausts(t *testing.T) {
 	stop := sim.AutoAdvance(0)
 	defer stop()
 	policy := RetryPolicy{Attempts: 2, Base: 50 * time.Millisecond, Clock: sim}
-	if _, err := CallRetry(context.Background(), "127.0.0.1:1", "x", nil, 50*time.Millisecond, policy); err == nil {
+	if _, err := deadClient(t).CallRetry(context.Background(), "x", nil, 50*time.Millisecond, policy); err == nil {
 		t.Fatal("CallRetry to dead address succeeded")
 	}
 }

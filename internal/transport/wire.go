@@ -119,13 +119,13 @@ func IsHandlerError(err error) bool {
 	return errors.As(err, &he)
 }
 
-// Retryable reports whether a Call error may be retried against the same
+// Retryable reports whether a call error may be retried against the same
 // address. Transport-level failures (dial refused, I/O deadline, torn
 // connection, frame/codec corruption) are retryable: the request may never
 // have reached a healthy server, and a restart heals them. Handler-level
 // errors and context cancellation are terminal: retrying would re-execute
 // a handler that already ran to a deterministic verdict, or outlive the
-// caller's interest. CallRetry and Client.CallRetry consult this, and
+// caller's interest. Client.CallRetry consults this, and
 // callers layering their own retries should too.
 func Retryable(err error) bool {
 	if err == nil {

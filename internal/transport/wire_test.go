@@ -152,18 +152,6 @@ func busPath(t *testing.T, h Handler) error {
 	return callErr
 }
 
-func tcpOneShotPath(t *testing.T, h Handler) error {
-	t.Helper()
-	srv := NewServer(h)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	t.Cleanup(srv.Close)
-	_, callErr := Call(context.Background(), addr, "probe", nil, time.Second)
-	return callErr
-}
-
 func tcpPooledPath(t *testing.T, h Handler) error {
 	t.Helper()
 	srv := NewServer(h)
@@ -181,7 +169,7 @@ func tcpPooledPath(t *testing.T, h Handler) error {
 // TestErrorIdentityAcrossPaths is the regression for the error-identity
 // bug: the gob path collapsed server errors into errors.New(resp.Err), so
 // errors.Is(err, ErrStaleIncarnation) held on the bus but silently failed
-// over TCP. All three paths now run the same table.
+// over TCP. Both paths now run the same table.
 func TestErrorIdentityAcrossPaths(t *testing.T) {
 	guardGoroutines(t)
 	paths := []struct {
@@ -189,7 +177,6 @@ func TestErrorIdentityAcrossPaths(t *testing.T) {
 		run  callPath
 	}{
 		{"bus", busPath},
-		{"tcp-oneshot", tcpOneShotPath},
 		{"tcp-pooled", tcpPooledPath},
 	}
 	for _, p := range paths {

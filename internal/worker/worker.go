@@ -389,8 +389,9 @@ type Fleet struct {
 	ckptState []float64
 	ckptSeq   int64
 
-	// Telemetry. lifeSpan covers Start..Close; the instruments are nil-safe
-	// so an uninstrumented fleet's step path is allocation-free.
+	// Telemetry. lifeSpan covers Start..Close and its events are added
+	// under mu; the instruments are nil-safe so an uninstrumented fleet's
+	// step path is allocation-free.
 	tr             telemetry.Tracer
 	flight         *telemetry.FlightRecorder
 	lifeSpan       *telemetry.Span
@@ -589,7 +590,9 @@ func (f *Fleet) monitorLoop() {
 			f.deadMu.Unlock()
 			if newDead > 0 {
 				f.mDeadDetected.Add(int64(newDead))
+				f.mu.Lock()
 				f.lifeSpan.Event("dead-worker-detected")
+				f.mu.Unlock()
 			}
 		}
 	}
